@@ -18,7 +18,7 @@ from typing import Sequence
 
 from ..topology.graph import ASGraph
 from .deployment import Deployment
-from .partitions import Category, compute_partitions
+from .partitions import IMMUNE, classify_partitions
 from .rank import RankModel
 from .routing import RoutingContext, RoutingOutcome, compute_routing_outcome
 
@@ -130,6 +130,7 @@ def secure_route_fate(
     retained_immune_sum = 0.0
     retained_other_sum = 0.0
     used = 0
+    index_of = ctx.index_of
     for attacker in attackers:
         if attacker == destination:
             continue
@@ -137,13 +138,13 @@ def secure_route_fate(
         analysis = downgrade_analysis(
             ctx, attacker, destination, deployment, model, normal_outcome
         )
-        partitions = compute_partitions(ctx, attacker, destination, model)
-        immune = partitions.members(Category.IMMUNE)
+        codes = classify_partitions(ctx, attacker, destination, model)
         retained = analysis.retained
+        retained_immune = sum(codes[index_of[asn]] == IMMUNE for asn in retained)
         secure_normal_sum += len(analysis.secure_normal)
         downgraded_sum += len(analysis.downgraded)
-        retained_immune_sum += len(retained & immune)
-        retained_other_sum += len(retained - immune)
+        retained_immune_sum += retained_immune
+        retained_other_sum += len(retained) - retained_immune
     if used == 0:
         return SecureRouteFate(destination, len(secure_normal) / num_sources, 0.0, 0.0, 0.0)
     scale = 1.0 / (used * num_sources)

@@ -36,9 +36,9 @@ from dataclasses import dataclass
 
 from ..topology.graph import ASGraph
 from ..topology.relationships import RouteClass
-from .perceivable import AttackCloseures, attack_closures
-from .rank import BASELINE, RankModel, SecurityModel
-from .routing import Reach, RoutingContext, RoutingOutcome, compute_routing_outcome
+from .perceivable import closure_indices
+from .rank import RankModel, SecurityModel
+from .routing import RoutingContext, RoutingOutcome, compute_routing_outcome
 
 
 class Category(enum.Enum):
@@ -110,7 +110,6 @@ def compute_partitions(
     destination: int,
     model: RankModel,
     baseline_outcome: RoutingOutcome | None = None,
-    closures: AttackCloseures | None = None,
 ) -> PartitionResult:
     """Partition all sources for ``(m, d)`` under the given model.
 
@@ -123,73 +122,94 @@ def compute_partitions(
         baseline_outcome: optional precomputed ``S = ∅`` attack outcome
             for this pair (shared across models — with no secure AS all
             models coincide).
-        closures: optional precomputed perceivable closures for the pair.
 
     Returns:
-        A :class:`PartitionResult`.
+        A :class:`PartitionResult`; its ``category_of`` is the
+        :func:`classify_partitions` array keyed by ASN.
+    """
+    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
+    codes = classify_partitions(ctx, attacker, destination, model, baseline_outcome)
+    asn_of = ctx.asns
+    category_of = {
+        asn_of[i]: CATEGORIES[code] for i, code in enumerate(codes) if code != ROOT
+    }
+    return PartitionResult(attacker, destination, model, category_of)
+
+
+#: Category of each :func:`classify_partitions` code (the code is the
+#: index); the attack's two roots get :data:`ROOT` instead.
+CATEGORIES = (
+    Category.DOOMED,
+    Category.PROTECTABLE,
+    Category.IMMUNE,
+    Category.DISCONNECTED,
+)
+DOOMED, PROTECTABLE, IMMUNE, DISCONNECTED = range(len(CATEGORIES))
+ROOT = len(CATEGORIES)
+
+#: ``bytes.translate`` table: Reach (NONE, DEST, ATTACKER, BOTH) -> code.
+_CODE_OF_REACH = bytes((DISCONNECTED, IMMUNE, DOOMED, PROTECTABLE)) + bytes(range(4, 256))
+#: An attacked-closure member's code given its legitimate-closure code.
+_ALSO_ATTACKED = bytes((DOOMED, PROTECTABLE, PROTECTABLE, DOOMED))
+
+
+def classify_partitions(
+    ctx: RoutingContext,
+    attacker: int,
+    destination: int,
+    model: RankModel,
+    baseline_outcome: RoutingOutcome | None = None,
+) -> bytearray:
+    """Per-AS-index partition codes for ``(m, d)`` under ``model``.
+
+    Returns one byte per AS of ``ctx``: the index into
+    :data:`CATEGORIES` of the AS's category, or :data:`ROOT` for the
+    attacker and the destination.  Aggregates are ``bytearray.count``
+    calls, so callers that only tally never build per-AS objects.
+    ``baseline_outcome`` is as in :func:`compute_partitions` (unused by
+    security 1st, which reads the perceivable closures instead).
     """
     if model.model is SecurityModel.BASELINE:
         raise ValueError("partitions are defined for the three security models")
-    ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
-
-    if model.model is SecurityModel.THIRD:
+    if model.model is SecurityModel.FIRST:
+        dest_i = ctx.index_of[destination]
+        att_i = ctx.index_of[attacker]
+        codes = _codes_security_first(ctx, dest_i, att_i)
+    else:
         outcome = baseline_outcome or compute_routing_outcome(
             ctx,
             destination,
             attacker=attacker,
             model=RankModel(SecurityModel.BASELINE, model.local_preference),
         )
-        return _partitions_from_bpr_endpoints(ctx, outcome, model)
-
-    if model.model is SecurityModel.SECOND:
-        outcome = baseline_outcome or compute_routing_outcome(
-            ctx,
-            destination,
-            attacker=attacker,
-            model=RankModel(SecurityModel.BASELINE, model.local_preference),
-        )
-        return _partitions_security_second(ctx, outcome, model)
-    closures = closures or attack_closures(ctx, attacker, destination)
-    return _partitions_security_first(ctx, attacker, destination, closures, model)
+        dest_i = outcome._dest_i
+        att_i = outcome._att_i
+        if model.model is SecurityModel.THIRD:
+            codes = _codes_from_bpr_endpoints(outcome)
+        else:
+            codes = _codes_security_second(ctx, outcome)
+    codes[dest_i] = ROOT
+    if att_i >= 0:
+        codes[att_i] = ROOT
+    return codes
 
 
-_CATEGORY_OF_REACH = {
-    int(Reach.NONE): Category.DISCONNECTED,
-    int(Reach.DEST): Category.IMMUNE,
-    int(Reach.ATTACKER): Category.DOOMED,
-    int(Reach.BOTH): Category.PROTECTABLE,
-}
-
-
-def _partitions_from_bpr_endpoints(
-    ctx: RoutingContext, outcome: RoutingOutcome, model: RankModel
-) -> PartitionResult:
+def _codes_from_bpr_endpoints(outcome: RoutingOutcome) -> bytearray:
     """Security 3rd: classify by the endpoints of the S=∅ BPR set.
 
-    Reads the outcome's flat reach array directly (one byte per AS)
-    instead of materializing per-AS route views.
+    Translates the outcome's flat reach array (one byte per AS) in one
+    call; only the rare unfixed ASes are then visited one by one.
     """
-    category_of: dict[int, Category] = {}
-    attacker = outcome.attacker
-    destination = outcome.destination
-    reach = outcome._reach
+    codes = bytearray(outcome._reach.translate(_CODE_OF_REACH))
     fixed = outcome._fixed
-    cat = _CATEGORY_OF_REACH
-    asn_of = ctx.asns
-    dest_i = outcome._dest_i
-    att_i = outcome._att_i
-    for i in range(ctx.n):
-        if i == dest_i or i == att_i:
-            continue
-        category_of[asn_of[i]] = cat[reach[i]] if fixed[i] else Category.DISCONNECTED
-    return PartitionResult(attacker, destination, model, category_of)  # type: ignore[arg-type]
+    i = fixed.find(0)
+    while i >= 0:
+        codes[i] = DISCONNECTED
+        i = fixed.find(0, i + 1)
+    return codes
 
 
-def _partitions_security_second(
-    ctx: RoutingContext,
-    outcome: RoutingOutcome,
-    model: RankModel,
-) -> PartitionResult:
+def _codes_security_second(ctx: RoutingContext, outcome: RoutingOutcome) -> bytearray:
     """Security 2nd: endpoints of surviving same-class routes (Cor. E.2).
 
     An AS stabilizes to a route of the same LP class as its ``S = ∅``
@@ -198,25 +218,19 @@ def _partitions_security_second(
     FixRoutes pruning.  The endpoints it can be steered to are therefore
     the union of its class-``C`` neighbors' own BPR endpoints.
     """
-    category_of: dict[int, Category] = {}
-    attacker = outcome.attacker
-    destination = outcome.destination
-    assert attacker is not None
+    n = ctx.n
+    codes = bytearray((DISCONNECTED,)) * n
     neighbor_sets = (ctx.customers_idx, ctx.peers_idx, ctx.providers_idx)
     fixed = outcome._fixed
     cls = outcome._cls
     reach_arr = outcome._reach
-    asn_of = ctx.asns
     dest_i = outcome._dest_i
     att_i = outcome._att_i
-    cat = _CATEGORY_OF_REACH
+    code_of = _CODE_OF_REACH
     customer_cls = int(RouteClass.CUSTOMER)
     provider_cls = int(RouteClass.PROVIDER)
-    for i in range(ctx.n):
-        if i == dest_i or i == att_i:
-            continue
-        if not fixed[i]:
-            category_of[asn_of[i]] = Category.DISCONNECTED
+    for i in range(n):
+        if not fixed[i] or i == dest_i or i == att_i:
             continue
         route_class = cls[i]
         from_provider = route_class == provider_cls
@@ -239,32 +253,22 @@ def _partitions_security_second(
                 break
         # reach == 0 would mean a fixed AS whose every neighbor
         # withholds, which monotone fixing rules out (maps DISCONNECTED).
-        category_of[asn_of[i]] = cat[reach]
-    return PartitionResult(attacker, destination, model, category_of)
+        codes[i] = code_of[reach]
+    return codes
 
 
-def _partitions_security_first(
-    ctx: RoutingContext,
-    attacker: int,
-    destination: int,
-    closures: AttackCloseures,
-    model: RankModel,
-) -> PartitionResult:
-    """Security 1st: Observations E.3/E.4; nearly everything is protectable."""
-    category_of: dict[int, Category] = {}
-    legitimate_any = closures.legitimate.any()
-    attacked_any = closures.attacked.any()
-    for asn in ctx.asns:
-        if asn == attacker or asn == destination:
-            continue
-        has_legitimate = asn in legitimate_any
-        has_attacked = asn in attacked_any
-        if has_legitimate and has_attacked:
-            category_of[asn] = Category.PROTECTABLE
-        elif has_legitimate:
-            category_of[asn] = Category.IMMUNE
-        elif has_attacked:
-            category_of[asn] = Category.DOOMED
-        else:
-            category_of[asn] = Category.DISCONNECTED
-    return PartitionResult(attacker, destination, model, category_of)
+def _codes_security_first(ctx: RoutingContext, dest_i: int, att_i: int) -> bytearray:
+    """Security 1st: Observations E.3/E.4; nearly everything is protectable.
+
+    Immune iff only a legitimate route is perceivable, doomed iff only
+    an attacked one is, protectable iff both are.
+    """
+    codes = bytearray((DISCONNECTED,)) * ctx.n
+    for members in closure_indices(ctx, dest_i, att_i):
+        for i in members:
+            codes[i] = IMMUNE
+    also_attacked = _ALSO_ATTACKED
+    for members in closure_indices(ctx, att_i, dest_i):
+        for i in members:
+            codes[i] = also_attacked[codes[i]]
+    return codes

@@ -76,11 +76,9 @@ def perceivable_closures(
 ) -> ClassReach:
     """Compute the per-class perceivable-route closures toward ``endpoint``.
 
-    Runs in the routing context's dense index space: membership flags
-    live in flat bytearrays (one byte per AS) rather than hash sets, and
-    the per-relationship index adjacency replaces dict lookups, which
-    makes the closures cheap enough to evaluate per attack pair at
-    scale.  ASNs only reappear in the returned frozensets.
+    Runs in the routing context's dense index space (see
+    :func:`closure_indices`); ASNs only reappear in the returned
+    frozensets.
 
     Args:
         topology: the AS graph or a prebuilt routing context.
@@ -94,8 +92,29 @@ def perceivable_closures(
     end_i = ctx.index_of.get(endpoint)
     if end_i is None:
         raise ValueError(f"endpoint AS {endpoint} not in graph")
-    n = ctx.n
     avoid_i = ctx.index_of.get(avoid, -1) if avoid is not None else -1
+    customer, peer, provider = closure_indices(ctx, end_i, avoid_i)
+    asn_of = ctx.asns
+    return ClassReach(
+        endpoint=endpoint,
+        customer=frozenset(asn_of[i] for i in customer),
+        peer=frozenset(asn_of[i] for i in peer),
+        provider=frozenset(asn_of[i] for i in provider),
+    )
+
+
+def closure_indices(
+    ctx: RoutingContext, end_i: int, avoid_i: int
+) -> tuple[list[int], list[int], list[int]]:
+    """The (customer, peer, provider) closures as lists of AS indices.
+
+    Membership flags live in flat bytearrays (one byte per AS) rather
+    than hash sets, and the per-relationship index adjacency replaces
+    dict lookups, which makes the closures cheap enough to evaluate per
+    attack pair at scale.  ``avoid_i`` < 0 means nothing is avoided;
+    both roots are excluded from every list.
+    """
+    n = ctx.n
     excluded = bytearray(n)
     excluded[end_i] = 1
     if avoid_i >= 0:
@@ -138,13 +157,7 @@ def perceivable_closures(
                 in_provider[c] = 1
                 provider.append(c)
                 queue.append(c)
-    asn_of = ctx.asns
-    return ClassReach(
-        endpoint=endpoint,
-        customer=frozenset(asn_of[i] for i in customer),
-        peer=frozenset(asn_of[i] for i in peer),
-        provider=frozenset(asn_of[i] for i in provider),
-    )
+    return customer, peer, provider
 
 
 @dataclass(frozen=True)

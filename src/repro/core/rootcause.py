@@ -221,7 +221,18 @@ def root_cause_breakdown(
 ) -> RootCauseBreakdown:
     """Average the per-pair root causes over ``pairs`` (Figure 16 bars)."""
     ctx = topology if isinstance(topology, RoutingContext) else RoutingContext(topology)
-    num_sources = len(ctx.asns) - 2
+    causes = [
+        pair_root_cause(ctx, attacker, destination, deployment, model)
+        for attacker, destination in pairs
+        if attacker != destination
+    ]
+    return summarize_root_causes(model, causes, len(ctx.asns) - 2)
+
+
+def summarize_root_causes(
+    model: RankModel, causes: Sequence[PairRootCause], num_sources: int
+) -> RootCauseBreakdown:
+    """Average precomputed :func:`pair_root_cause` results, in order."""
     totals = {
         "secure_normal": 0,
         "downgraded": 0,
@@ -233,12 +244,7 @@ def root_cause_breakdown(
         "other_losses": 0,
         "change": 0,
     }
-    used = 0
-    for attacker, destination in pairs:
-        if attacker == destination:
-            continue
-        used += 1
-        pr = pair_root_cause(ctx, attacker, destination, deployment, model)
+    for pr in causes:
         totals["secure_normal"] += len(pr.secure_normal)
         totals["downgraded"] += len(pr.downgraded)
         totals["wasted"] += len(pr.wasted_secure)
@@ -248,6 +254,7 @@ def root_cause_breakdown(
         totals["other_gains"] += len(pr.other_gains)
         totals["other_losses"] += len(pr.other_losses)
         totals["change"] += pr.metric_change
+    used = len(causes)
     scale = 1.0 / (used * num_sources) if used and num_sources else 0.0
     return RootCauseBreakdown(
         model=model,

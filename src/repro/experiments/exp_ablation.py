@@ -32,11 +32,10 @@ def _knife_edge_worker(
         deployment=deployment, model=model,
     )
     lower, upper = outcome.count_happy()
-    both = sum(
-        1
-        for asn, info in outcome.routes.items()
-        if outcome.is_source(asn) and info.reaches == Reach.BOTH
-    )
+    # Fixed ASes whose BPR set reaches both roots, read off the flat
+    # arrays (the roots reach one endpoint each, so all are sources).
+    knife = int(Reach.BOTH)
+    both = sum(1 for r, f in zip(outcome._reach, outcome._fixed) if r == knife and f)
     assert both == upper - lower
     return both, lower, outcome.num_sources
 

@@ -18,6 +18,25 @@ from .runner import ExperimentContext
 from .scenarios import EvalResults
 
 
+def _cp_fate_worker(ectx: ExperimentContext, cp: int, state: dict) -> dict:
+    """One CP's Figure 13 row, averaged over the sampled attackers."""
+    fate = secure_route_fate(
+        ectx.graph_ctx,
+        cp,
+        state["attackers"],
+        ectx.catalog.get("t1_stubs_cp"),
+        SECURITY_THIRD,
+    )
+    return {
+        "cp": cp,
+        "name": PAPER_CONTENT_PROVIDERS.get(cp, f"AS{cp}"),
+        "secure_normal": fate.secure_normal_fraction,
+        "downgraded": fate.downgraded_fraction,
+        "retained_immune": fate.retained_immune_fraction,
+        "retained_other": fate.retained_other_fraction,
+    }
+
+
 def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
     cps = ectx.tiers.members(Tier.CP)
     if not cps:
@@ -29,26 +48,11 @@ def run(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
             rows=[],
             text="(no content providers in this topology)",
         )
-    deployment = ectx.catalog.get("t1_stubs_cp")
     rng = ectx.rng("fig13")
     attackers = sampling.sample_members(
         rng, sampling.nonstub_attackers(ectx.tiers), ectx.scale.cp_attackers
     )
-    rows = []
-    for cp in cps:
-        fate = secure_route_fate(
-            ectx.graph_ctx, cp, attackers, deployment, SECURITY_THIRD
-        )
-        rows.append(
-            {
-                "cp": cp,
-                "name": PAPER_CONTENT_PROVIDERS.get(cp, f"AS{cp}"),
-                "secure_normal": fate.secure_normal_fraction,
-                "downgraded": fate.downgraded_fraction,
-                "retained_immune": fate.retained_immune_fraction,
-                "retained_other": fate.retained_other_fraction,
-            }
-        )
+    rows = ectx.map_tasks(_cp_fate_worker, cps, state={"attackers": attackers})
     rows.sort(key=lambda r: -r["secure_normal"])
     table = report.format_table(
         ["CP", "secure (normal)", "downgraded", "retained+immune", "retained+other"],

@@ -25,7 +25,7 @@ from ..topology import gadgets
 from ..topology.tiers import Tier
 from . import report, sampling
 from .registry import ExperimentResult, ExperimentSpec, register
-from .runner import ExperimentContext
+from .runner import ExperimentContext, cached
 from .scenarios import EvalResults
 
 
@@ -64,6 +64,25 @@ def _downgrade_counts(
     return downgraded, unhappy
 
 
+#: Catalog deployment the sampled hysteresis attacks run under.
+_HYSTERESIS_DEPLOYMENT = "t12_full"
+
+
+def _hysteresis_worker(
+    ectx: ExperimentContext, task: tuple, state: dict
+) -> tuple[int, int]:
+    """:func:`_downgrade_counts` of one (model, hysteresis, d, m) task."""
+    model, hysteresis, destination, attacker = task
+    return _downgrade_counts(
+        ectx.graph,
+        destination,
+        attacker,
+        ectx.catalog.get(_HYSTERESIS_DEPLOYMENT),
+        PolicyAssignment.uniform(model),
+        hysteresis,
+    )
+
+
 def run_hysteresis(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
     rows = []
 
@@ -88,8 +107,9 @@ def run_hysteresis(ectx: ExperimentContext, results: EvalResults) -> ExperimentR
             }
         )
 
-    # Part 2: sampled attacks on the synthetic graph.
-    deployment = ectx.catalog.get("t12_full")
+    # Part 2: sampled attacks on the synthetic graph, one pool task per
+    # simulator run, summed per (model, hysteresis) in loop order.
+    deployment = ectx.catalog.get(_HYSTERESIS_DEPLOYMENT)
     rng = ectx.rng("hysteresis")
     secure_dests = sampling.sample_members(
         rng, sorted(deployment.full), max(4, ectx.scale.cp_attackers)
@@ -97,34 +117,32 @@ def run_hysteresis(ectx: ExperimentContext, results: EvalResults) -> ExperimentR
     attackers = sampling.sample_members(
         rng, sampling.nonstub_attackers(ectx.tiers), ectx.scale.cp_attackers
     )
-    for model in (SECURITY_SECOND, SECURITY_THIRD):
-        for hysteresis in (False, True):
-            downgraded_total = 0
-            unhappy_total = 0
-            runs = 0
-            for destination in secure_dests:
-                for attacker in attackers:
-                    if attacker == destination:
-                        continue
-                    runs += 1
-                    downgraded, unhappy = _downgrade_counts(
-                        ectx.graph,
-                        destination,
-                        attacker,
-                        deployment,
-                        PolicyAssignment.uniform(model),
-                        hysteresis,
-                    )
-                    downgraded_total += downgraded
-                    unhappy_total += unhappy
-            rows.append(
-                {
-                    "workload": f"T1+T2 rollout sweep ({model.label})",
-                    "hysteresis": hysteresis,
-                    "downgraded": downgraded_total / max(1, runs),
-                    "unhappy": unhappy_total / max(1, runs),
-                }
-            )
+    attacks = [
+        (destination, attacker)
+        for destination in secure_dests
+        for attacker in attackers
+        if attacker != destination
+    ]
+    variants = [
+        (model, hysteresis)
+        for model in (SECURITY_SECOND, SECURITY_THIRD)
+        for hysteresis in (False, True)
+    ]
+    counts = ectx.map_tasks(
+        _hysteresis_worker,
+        [variant + attack for variant in variants for attack in attacks],
+    )
+    runs = len(attacks)
+    for v, (model, hysteresis) in enumerate(variants):
+        chunk = counts[v * runs : (v + 1) * runs]
+        rows.append(
+            {
+                "workload": f"T1+T2 rollout sweep ({model.label})",
+                "hysteresis": hysteresis,
+                "downgraded": sum(d for d, _ in chunk) / max(1, runs),
+                "unhappy": sum(u for _, u in chunk) / max(1, runs),
+            }
+        )
 
     table = report.format_table(
         ["workload", "hysteresis", "avg downgraded", "avg unhappy"],
@@ -151,56 +169,86 @@ def run_hysteresis(ectx: ExperimentContext, results: EvalResults) -> ExperimentR
     )
 
 
+def _island(ectx: ExperimentContext) -> frozenset[int]:
+    """The secure island: every Tier 2 and CP."""
+    tiers = ectx.tiers
+    return frozenset(tiers.members(Tier.TIER2)) | frozenset(tiers.members(Tier.CP))
+
+
+def _island_policies(ectx: ExperimentContext) -> tuple[tuple[str, PolicyAssignment], ...]:
+    """(label, policies) of each compared assignment, built once per process."""
+
+    def build() -> tuple[tuple[str, PolicyAssignment], ...]:
+        return (
+            ("uniform security 3rd", PolicyAssignment.uniform(SECURITY_THIRD)),
+            (
+                "island security 1st",
+                island_assignment(
+                    _island(ectx), inside=SECURITY_FIRST, outside=SECURITY_THIRD
+                ),
+            ),
+        )
+
+    return cached(ectx, "island_policies", build)
+
+
+def _islands_worker(
+    ectx: ExperimentContext, task: tuple[int, int, int], state: dict
+) -> tuple[int, int]:
+    """(island members hijacked, sources hijacked) for one attack."""
+    p, destination, attacker = task
+    island = _island(ectx)
+    sim = BGPSimulator(
+        ectx.graph,
+        destination,
+        deployment=Deployment.of(island),
+        policies=_island_policies(ectx)[p][1],
+        attacker=attacker,
+    )
+    sim.run()
+    island_unhappy = total_unhappy = 0
+    for asn in ectx.graph.asns:
+        if asn in (destination, attacker):
+            continue
+        if sim.routes_to_attacker(asn):
+            total_unhappy += 1
+            if asn in island:
+                island_unhappy += 1
+    return island_unhappy, total_unhappy
+
+
 def run_islands(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
     """Island members pledge security-1st among themselves (§8)."""
-    tiers = ectx.tiers
-    island = set(tiers.members(Tier.TIER2)) | set(tiers.members(Tier.CP))
-    deployment = Deployment.of(island)
+    island = _island(ectx)
     rng = ectx.rng("islands")
     dests = sampling.sample_members(
         rng, sorted(island), max(4, ectx.scale.cp_attackers)
     )
     attackers = sampling.sample_members(
         rng,
-        [a for a in sampling.nonstub_attackers(tiers) if a not in island],
+        [a for a in sampling.nonstub_attackers(ectx.tiers) if a not in island],
         ectx.scale.cp_attackers,
     )
+    attacks = [
+        (destination, attacker)
+        for destination in dests
+        for attacker in attackers
+        if attacker != destination
+    ]
+    policies = _island_policies(ectx)
+    counts = ectx.map_tasks(
+        _islands_worker,
+        [(p,) + attack for p in range(len(policies)) for attack in attacks],
+    )
+    runs = len(attacks)
     rows = []
-    for label, policies in (
-        ("uniform security 3rd", PolicyAssignment.uniform(SECURITY_THIRD)),
-        (
-            "island security 1st",
-            island_assignment(island, inside=SECURITY_FIRST, outside=SECURITY_THIRD),
-        ),
-    ):
-        island_unhappy = 0
-        total_unhappy = 0
-        runs = 0
-        for destination in dests:
-            for attacker in attackers:
-                if attacker == destination:
-                    continue
-                runs += 1
-                sim = BGPSimulator(
-                    ectx.graph,
-                    destination,
-                    deployment=deployment,
-                    policies=policies,
-                    attacker=attacker,
-                )
-                sim.run()
-                for asn in ectx.graph.asns:
-                    if asn in (destination, attacker):
-                        continue
-                    if sim.routes_to_attacker(asn):
-                        total_unhappy += 1
-                        if asn in island:
-                            island_unhappy += 1
+    for p, (label, _) in enumerate(policies):
+        chunk = counts[p * runs : (p + 1) * runs]
         rows.append(
             {
                 "policies": label,
-                "island_unhappy_per_attack": island_unhappy / max(1, runs),
-                "total_unhappy_per_attack": total_unhappy / max(1, runs),
+                "island_unhappy_per_attack": sum(i for i, _ in chunk) / max(1, runs),
+                "total_unhappy_per_attack": sum(t for _, t in chunk) / max(1, runs),
             }
         )
     table = report.format_table(

@@ -13,7 +13,12 @@ from __future__ import annotations
 
 from ..core.deployment import Deployment
 from ..core.rank import SECURITY_FIRST, SECURITY_MODELS, SECURITY_SECOND, SECURITY_THIRD
-from ..core.rootcause import PHENOMENA_POSSIBLE, pair_root_cause, root_cause_breakdown
+from ..core.rootcause import (
+    PHENOMENA_POSSIBLE,
+    PairRootCause,
+    pair_root_cause,
+    summarize_root_causes,
+)
 from ..topology import gadgets
 from . import report, sampling
 from .registry import ExperimentResult, ExperimentSpec, register
@@ -33,13 +38,40 @@ def _rootcause_pairs(ectx: ExperimentContext) -> list[tuple[int, int]]:
     return cached(ectx, "rootcause_pairs", build)
 
 
+def _root_cause_worker(
+    ectx: ExperimentContext, task: tuple, state: dict
+) -> PairRootCause:
+    model, (attacker, destination) = task
+    return pair_root_cause(
+        ectx.graph_ctx, attacker, destination, ectx.catalog.get("t12_full"), model
+    )
+
+
+def _root_causes(ectx: ExperimentContext) -> dict[str, list[PairRootCause]]:
+    """model label -> :func:`pair_root_cause` of every sampled pair, in
+    pair order; computed once on the pool and shared by fig16 and table3."""
+
+    def build() -> dict[str, list[PairRootCause]]:
+        pairs = _rootcause_pairs(ectx)
+        causes = ectx.map_tasks(
+            _root_cause_worker,
+            [(model, pair) for model in SECURITY_MODELS for pair in pairs],
+        )
+        return {
+            model.label: causes[m * len(pairs) : (m + 1) * len(pairs)]
+            for m, model in enumerate(SECURITY_MODELS)
+        }
+
+    return cached(ectx, "rootcause_causes", build)
+
+
 def run_fig16(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    deployment = ectx.catalog.get("t12_full")
-    pairs = _rootcause_pairs(ectx)
+    causes = _root_causes(ectx)
+    num_sources = len(ectx.graph_ctx.asns) - 2
     rows = []
     blocks = []
     for model in (SECURITY_THIRD, SECURITY_FIRST, SECURITY_SECOND):
-        breakdown = root_cause_breakdown(ectx.graph_ctx, pairs, deployment, model)
+        breakdown = summarize_root_causes(model, causes[model.label], num_sources)
         rows.append(
             {
                 "model": model.label,
@@ -88,21 +120,14 @@ def run_fig16(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult
 
 
 def run_table3(ectx: ExperimentContext, results: EvalResults) -> ExperimentResult:
-    deployment = ectx.catalog.get("t12_full")
-    pairs = _rootcause_pairs(ectx)
-
     observed = {
-        model.label: {"protocol_downgrade": 0, "collateral_benefit": 0, "collateral_damage": 0}
-        for model in SECURITY_MODELS
+        label: {
+            "protocol_downgrade": sum(len(pr.downgraded) for pr in causes),
+            "collateral_benefit": sum(len(pr.collateral_benefit) for pr in causes),
+            "collateral_damage": sum(len(pr.collateral_damage) for pr in causes),
+        }
+        for label, causes in _root_causes(ectx).items()
     }
-    for model in SECURITY_MODELS:
-        for attacker, destination in pairs:
-            pr = pair_root_cause(
-                ectx.graph_ctx, attacker, destination, deployment, model
-            )
-            observed[model.label]["protocol_downgrade"] += len(pr.downgraded)
-            observed[model.label]["collateral_benefit"] += len(pr.collateral_benefit)
-            observed[model.label]["collateral_damage"] += len(pr.collateral_damage)
 
     # Witnesses from the paper's own examples.
     witness: dict[tuple[str, str], str] = {}

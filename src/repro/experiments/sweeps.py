@@ -11,13 +11,19 @@ its own slice.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
-from ..core.partitions import Category, compute_partitions
-from ..core.perceivable import attack_closures
+from ..core.partitions import (
+    DISCONNECTED,
+    DOOMED,
+    IMMUNE,
+    PROTECTABLE,
+    classify_partitions,
+)
 from ..core.rank import RankModel, SecurityModel
 from ..core.routing import compute_routing_outcome
 from ..topology.tiers import Tier
-from .runner import ExperimentContext
+from .runner import ExperimentContext, cached
 
 
 @dataclass(frozen=True)
@@ -54,49 +60,54 @@ class PartitionSweep:
     by_source_tier: dict[tuple[str, Tier], PartitionFractions]
 
 
+#: Partition codes in the (doomed, protectable, immune, disconnected)
+#: order of every count bucket.
+_CODES = (DOOMED, PROTECTABLE, IMMUNE, DISCONNECTED)
+#: Stride between tiers in :func:`_tier_base` (above every partition code).
+_TIER_STRIDE = 8
+
+
+def _tier_base(ectx: ExperimentContext) -> tuple[bytes, tuple[Tier, ...]]:
+    """Per-AS-index ``tier code * _TIER_STRIDE`` and the tiers by code.
+
+    Adding a :func:`classify_partitions` array to it bytewise keys every
+    AS by (source tier, category) in one byte, so the per-tier tallies
+    are ``bytes.count`` calls.
+    """
+
+    def build() -> tuple[bytes, tuple[Tier, ...]]:
+        tiers = tuple(Tier)
+        assert len(tiers) * _TIER_STRIDE <= 256
+        code_of = {tier: t * _TIER_STRIDE for t, tier in enumerate(tiers)}
+        tier_of = ectx.tiers.tier_of
+        return bytes(code_of[tier_of[asn]] for asn in ectx.graph_ctx.asns), tiers
+
+    return cached(ectx, "partition_tier_base", build)
+
+
 def _pair_partition_worker(ectx: ExperimentContext, pair: tuple[int, int], state: dict):
     ctx = ectx.graph_ctx
     models: tuple[RankModel, ...] = state["models"]
-    tier_of = ectx.tiers.tier_of
+    tier_base, tiers = _tier_base(ectx)
     attacker, destination = pair
     baseline_model = RankModel(SecurityModel.BASELINE, models[0].local_preference)
     baseline = compute_routing_outcome(
         ctx, destination, attacker=attacker, model=baseline_model
     )
-    # Closures are only needed by the security-1st classifier.
-    closures = None
-    if any(model.model is SecurityModel.FIRST for model in models):
-        closures = attack_closures(ctx, attacker, destination)
     happy_lower, happy_upper = baseline.count_happy()
 
     counts: dict[str, list[int]] = {}
     tier_counts: dict[tuple[str, Tier], list[int]] = {}
     for model in models:
-        result = compute_partitions(
-            ctx,
-            attacker,
-            destination,
-            model,
-            baseline_outcome=baseline,
-            closures=closures,
-        )
-        bucket = counts.setdefault(model.label, [0, 0, 0, 0])
-        for asn, category in result.category_of.items():
-            index = _CATEGORY_INDEX[category]
-            bucket[index] += 1
-            tier_bucket = tier_counts.setdefault(
-                (model.label, tier_of[asn]), [0, 0, 0, 0]
-            )
-            tier_bucket[index] += 1
+        codes = classify_partitions(ctx, attacker, destination, model, baseline)
+        counts[model.label] = [codes.count(code) for code in _CODES]
+        keyed = bytes(map(add, tier_base, codes))
+        for t, tier in enumerate(tiers):
+            base = t * _TIER_STRIDE
+            bucket = [keyed.count(base + code) for code in _CODES]
+            if any(bucket):
+                tier_counts[(model.label, tier)] = bucket
     return happy_lower, happy_upper, baseline.num_sources, counts, tier_counts
-
-
-_CATEGORY_INDEX = {
-    Category.DOOMED: 0,
-    Category.PROTECTABLE: 1,
-    Category.IMMUNE: 2,
-    Category.DISCONNECTED: 3,
-}
 
 
 def partition_sweep(

@@ -253,6 +253,24 @@ class TestParallelRunner:
             assert ectx._pool is first_pool
         assert ectx._pool is None  # closed on context exit
 
+    def test_off_plane_fan_outs_match_serial(self):
+        """Experiments whose own loops run on the pool print the same
+        rows and text as the serial run."""
+        from repro.experiments import run_experiment
+
+        ids = (
+            "hysteresis", "islands", "fig13", "fig16", "table3",
+            "ablation_tiebreak", "lp2",
+        )
+        with make_context(scale="tiny", seed=77, processes=1) as serial_ctx, \
+                make_context(scale="tiny", seed=77, processes=2) as parallel_ctx:
+            for eid in ids:
+                serial = run_experiment(serial_ctx, eid)
+                parallel = run_experiment(parallel_ctx, eid)
+                assert parallel.rows == serial.rows, eid
+                assert parallel.text == serial.text, eid
+            assert parallel_ctx._pool is not None
+
 
 class TestIxpVariant:
     def test_ixp_context_runs_partition_family(self):

@@ -6,16 +6,28 @@ import pytest
 
 from repro.core import (
     BASELINE,
+    LP2,
     Category,
     Deployment,
+    RankModel,
+    Reach,
+    RoutingContext,
     SECURITY_FIRST,
     SECURITY_MODELS,
     SECURITY_SECOND,
     SECURITY_THIRD,
+    SecurityModel,
+    attack_closures,
     compute_partitions,
     compute_routing_outcome,
 )
-from repro.topology import graph_from_edges
+from repro.core.partitions import CATEGORIES, ROOT, classify_partitions
+from repro.topology import (
+    RouteClass,
+    TopologyParams,
+    generate_topology,
+    graph_from_edges,
+)
 
 
 @pytest.fixture()
@@ -166,3 +178,134 @@ class TestInvariantAgainstDeployments:
                 assert out.happy_lower(asn), (model.label, asn)
             for asn in doomed:
                 assert not out.happy_upper(asn), (model.label, asn)
+
+
+# ----------------------------------------------------------------------
+# Differential: the array classifier against a per-AS dict reference
+# ----------------------------------------------------------------------
+
+_LP_AND_LP2_MODELS = tuple(SECURITY_MODELS) + tuple(
+    RankModel(model.model, LP2) for model in SECURITY_MODELS
+)
+_BUCKET = {
+    Category.DOOMED: 0,
+    Category.PROTECTABLE: 1,
+    Category.IMMUNE: 2,
+    Category.DISCONNECTED: 3,
+}
+
+
+def _reference_category_of(ctx, attacker, destination, model):
+    """Per-AS dict classification, one ``Category`` per source ASN,
+    written against the public outcome / closure APIs."""
+    category_of = {}
+    if model.model is SecurityModel.FIRST:
+        closures = attack_closures(ctx, attacker, destination)
+        legitimate = closures.legitimate.any()
+        attacked = closures.attacked.any()
+        for asn in ctx.asns:
+            if asn in (attacker, destination):
+                continue
+            category_of[asn] = {
+                (True, True): Category.PROTECTABLE,
+                (True, False): Category.IMMUNE,
+                (False, True): Category.DOOMED,
+                (False, False): Category.DISCONNECTED,
+            }[(asn in legitimate, asn in attacked)]
+        return category_of
+    baseline = compute_routing_outcome(
+        ctx,
+        destination,
+        attacker=attacker,
+        model=RankModel(SecurityModel.BASELINE, model.local_preference),
+    )
+    by_reach = {
+        Reach.NONE: Category.DISCONNECTED,
+        Reach.DEST: Category.IMMUNE,
+        Reach.ATTACKER: Category.DOOMED,
+        Reach.BOTH: Category.PROTECTABLE,
+    }
+    neighbors = {
+        RouteClass.CUSTOMER: ctx.graph.customers,
+        RouteClass.PEER: ctx.graph.peers,
+        RouteClass.PROVIDER: ctx.graph.providers,
+    }
+    for asn in ctx.asns:
+        if asn in (attacker, destination):
+            continue
+        if asn not in baseline.routes:
+            category_of[asn] = Category.DISCONNECTED
+            continue
+        info = baseline.routes[asn]
+        if model.model is SecurityModel.THIRD:
+            category_of[asn] = by_reach[info.reaches]
+            continue
+        reach = 0
+        for nbr in neighbors[info.route_class](asn):
+            if nbr == destination:
+                reach |= 1
+            elif nbr == attacker:
+                reach |= 2
+            elif nbr in baseline.routes:
+                offered = baseline.routes[nbr]
+                if (
+                    offered.route_class is RouteClass.CUSTOMER
+                    or info.route_class is RouteClass.PROVIDER
+                ):
+                    reach |= offered.reaches
+        category_of[asn] = by_reach[Reach(reach)]
+    return category_of
+
+
+class TestArrayClassifierDifferential:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_per_as_reference_on_random_topologies(self, seed):
+        graph = generate_topology(TopologyParams(n=60, seed=seed)).graph
+        ctx = RoutingContext(graph)
+        rnd = random.Random(seed)
+        for _ in range(3):
+            destination, attacker = rnd.sample(graph.asns, 2)
+            for model in _LP_AND_LP2_MODELS:
+                expected = _reference_category_of(ctx, attacker, destination, model)
+                codes = classify_partitions(ctx, attacker, destination, model)
+                got = {
+                    asn: CATEGORIES[code]
+                    for asn, code in zip(ctx.asns, codes)
+                    if code != ROOT
+                }
+                assert got == expected, (seed, model.label)
+                for category in CATEGORIES:
+                    assert codes.count(CATEGORIES.index(category)) == sum(
+                        1 for c in expected.values() if c is category
+                    )
+                assert compute_partitions(
+                    ctx, attacker, destination, model
+                ).category_of == expected
+
+    @pytest.mark.parametrize("seed", (5, 6))
+    def test_sweep_tallies_match_reference(self, seed):
+        from repro.experiments import make_context
+        from repro.experiments.sweeps import _pair_partition_worker
+
+        ectx = make_context(scale="tiny", seed=seed)
+        ctx = ectx.graph_ctx
+        tier_of = ectx.tiers.tier_of
+        rnd = random.Random(seed)
+        for lp_models in (SECURITY_MODELS, _LP_AND_LP2_MODELS[3:]):
+            for _ in range(3):
+                attacker, destination = rnd.sample(ctx.asns, 2)
+                _, _, _, counts, tier_counts = _pair_partition_worker(
+                    ectx, (attacker, destination), {"models": tuple(lp_models)}
+                )
+                expected_counts = {}
+                expected_tiers = {}
+                for model in lp_models:
+                    bucket = expected_counts.setdefault(model.label, [0, 0, 0, 0])
+                    reference = _reference_category_of(ctx, attacker, destination, model)
+                    for asn, category in reference.items():
+                        bucket[_BUCKET[category]] += 1
+                        expected_tiers.setdefault(
+                            (model.label, tier_of[asn]), [0, 0, 0, 0]
+                        )[_BUCKET[category]] += 1
+                assert counts == expected_counts
+                assert tier_counts == expected_tiers

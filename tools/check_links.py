@@ -2,7 +2,7 @@
 """Check that internal markdown links in README.md and docs/ resolve.
 
 Scans every inline link/image ``[text](target)`` in the repo's
-user-facing markdown (README plus everything under ``docs/``), skipping
+user-facing markdown (README, DESIGN plus everything under ``docs/``), skipping
 external schemes (``http(s)://``, ``mailto:``), and fails when
 
 * a relative link points at a file that does not exist, or
@@ -50,7 +50,7 @@ def heading_slugs(path: Path) -> set[str]:
 
 
 def default_files(root: Path) -> list[Path]:
-    files = [root / "README.md"]
+    files = [root / "README.md", root / "DESIGN.md"]
     files += sorted((root / "docs").glob("**/*.md"))
     return [f for f in files if f.exists()]
 
